@@ -34,15 +34,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # fuzz-smoke briefly cross-checks the differential fast-vs-reference pairs:
-# the desim leap engine against the unit-stepping reference loop, and the
-# incremental Algorithm 1 partitioner against its executable specification.
+# the desim leap engine against the unit-stepping reference loop, the
+# incremental Algorithm 1 partitioner and the linear-time scheduler against
+# their executable specifications.
 fuzz-smoke:
 	$(GO) test ./internal/desim -run '^$$' -fuzz FuzzDesimLeapVsReference -fuzztime 20s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzAlgorithm1FastVsReference -fuzztime 20s
+	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzScheduleFastVsReference -fuzztime 20s
 
 # scale-smoke drives the 10^5-task pipeline (partition, schedule, auto-engine
-# desim) and the ~10^6-task deep-MLP partition+schedule under generous
-# wall-clock budgets; plain `go test ./...` skips it (SCALE_SMOKE gate).
+# desim) and the ~10^6-task deep-MLP partition, schedule (validated),
+# streaming depth and buffer sizing under wall-clock budgets; plain
+# `go test ./...` skips it (SCALE_SMOKE gate).
 scale-smoke:
 	SCALE_SMOKE=1 $(GO) test -run TestScaleSmokePipeline -v -timeout 15m .
 

@@ -29,9 +29,12 @@
 //
 // The snapshot format (schema streamsched-bench/v2) keys every benchmark by
 // its package import path so equally named benchmarks in different packages
-// cannot collide, and strips the -GOMAXPROCS suffix go test appends on
-// multi-core machines (recorded once in the header instead) so keys are
-// portable across machines:
+// cannot collide. The benchmarks run with an explicit -cpu N, N being
+// GOMAXPROCS (set the GOMAXPROCS environment variable to change it), and
+// exactly the -N suffix go test then appends when N > 1 is stripped (N is
+// recorded once in the header instead), so keys are portable across
+// machines and a sub-benchmark whose own name ends in a number
+// (BenchmarkScaleLadder/gaussian-1000) keeps it:
 //
 //	{
 //	  "schema": "streamsched-bench/v2",
@@ -109,24 +112,25 @@ var (
 	// pkgLine matches the `pkg: repro/internal/desim` header go test prints
 	// before each package's benchmarks.
 	pkgLine = regexp.MustCompile(`^pkg:\s+(\S+)`)
-	// procsSuffix matches the -GOMAXPROCS suffix go test appends to every
-	// benchmark name when GOMAXPROCS > 1 (absent on single-core runs).
-	procsSuffix = regexp.MustCompile(`-(\d+)$`)
 	// benchFile matches committed baseline snapshots in the repo root.
 	benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 )
 
-// parseBench parses `go test -bench` output into results keyed by
-// "importpath/BenchmarkName" with the -GOMAXPROCS suffix stripped, and
-// returns the GOMAXPROCS the suffixes implied (1 when absent). Package
+// parseBench parses the output of `go test -bench -cpu procs` into results
+// keyed by "importpath/BenchmarkName". go test appends "-procs" to every
+// name when procs > 1 and nothing when procs == 1; exactly that suffix is
+// stripped, so trailing numbers that belong to the name survive. Package
 // qualification makes equally named benchmarks in different packages
 // distinct keys instead of silently overwriting each other; repeats of the
 // SAME key (go test -count > 1) are folded by taking the per-column minimum
 // — scheduling noise only ever adds time, so the minimum is the most
 // repeatable estimate of a benchmark's cost.
-func parseBench(output string) (map[string]result, int, error) {
+func parseBench(output string, procs int) (map[string]result, error) {
 	benchmarks := map[string]result{}
-	procs := 1
+	suffix := ""
+	if procs > 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
 	pkg := ""
 	for _, line := range strings.Split(output, "\n") {
 		line = strings.TrimSpace(line)
@@ -138,12 +142,9 @@ func parseBench(output string) (map[string]result, int, error) {
 		if m == nil {
 			continue
 		}
-		name := m[1]
-		if s := procsSuffix.FindStringSubmatch(name); s != nil {
-			name = strings.TrimSuffix(name, s[0])
-			if n, _ := strconv.Atoi(s[1]); n > procs {
-				procs = n
-			}
+		name, ok := strings.CutSuffix(m[1], suffix)
+		if !ok {
+			return nil, fmt.Errorf("benchmark %s lacks the %s suffix of -cpu %d", m[1], suffix, procs)
 		}
 		key := name
 		if pkg != "" {
@@ -163,7 +164,7 @@ func parseBench(output string) (map[string]result, int, error) {
 		}
 		benchmarks[key] = r
 	}
-	return benchmarks, procs, nil
+	return benchmarks, nil
 }
 
 // latestBaseline scans dir for BENCH_<N>.json files and returns the highest
@@ -291,13 +292,15 @@ func mustAbs(p string) string {
 	return p
 }
 
-// runBenchmarks executes go test -bench and parses the output into a v2
-// snapshot, folding -count repetitions into per-benchmark minima.
+// runBenchmarks executes go test -bench -cpu GOMAXPROCS and parses the
+// output into a v2 snapshot, folding -count repetitions into per-benchmark
+// minima.
 func runBenchmarks(bench, benchtime string, count int, pkgs, timeout string) (snapshot, error) {
 	if count < 1 {
 		count = 1
 	}
-	args := []string{"test", "-run", "^$", "-bench", bench,
+	cpu := runtime.GOMAXPROCS(0)
+	args := []string{"test", "-run", "^$", "-bench", bench, "-cpu", strconv.Itoa(cpu),
 		"-benchtime", benchtime, "-benchmem", "-count", strconv.Itoa(count), "-timeout", timeout}
 	args = append(args, strings.Split(pkgs, ",")...)
 
@@ -308,7 +311,7 @@ func runBenchmarks(bench, benchtime string, count int, pkgs, timeout string) (sn
 	if err := cmd.Run(); err != nil {
 		return snapshot{}, fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
 	}
-	benchmarks, procs, err := parseBench(buf.String())
+	benchmarks, err := parseBench(buf.String(), cpu)
 	if err != nil {
 		return snapshot{}, err
 	}
@@ -318,7 +321,7 @@ func runBenchmarks(bench, benchtime string, count int, pkgs, timeout string) (sn
 	return snapshot{
 		Schema:     schemaV2,
 		Go:         runtime.Version(),
-		GOMAXPROCS: procs,
+		GOMAXPROCS: cpu,
 		Benchtime:  benchtime,
 		Count:      count,
 		Benchmarks: benchmarks,

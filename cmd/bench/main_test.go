@@ -25,12 +25,9 @@ ok  	repro/internal/desim	0.8s
 `
 
 func TestParseBenchQualifiesAndStrips(t *testing.T) {
-	benchmarks, procs, err := parseBench(sampleOutput)
+	benchmarks, err := parseBench(sampleOutput, 8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if procs != 8 {
-		t.Errorf("procs = %d, want 8 (from the -8 suffix)", procs)
 	}
 	want := map[string]result{
 		"repro/BenchmarkFig13Simulation/FFT/Leap": {Iters: 50, NsPerOp: 198374, BytesPerOp: 42},
@@ -49,15 +46,68 @@ func TestParseBenchQualifiesAndStrips(t *testing.T) {
 }
 
 func TestParseBenchNoSuffixSingleCore(t *testing.T) {
-	benchmarks, procs, err := parseBench("pkg: repro\nBenchmarkX   \t 50\t  100 ns/op\n")
+	benchmarks, err := parseBench("pkg: repro\nBenchmarkX   \t 50\t  100 ns/op\n", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if procs != 1 {
-		t.Errorf("procs = %d, want 1 when no suffix is printed", procs)
-	}
 	if _, ok := benchmarks["repro/BenchmarkX"]; !ok {
 		t.Errorf("missing repro/BenchmarkX in %v", benchmarks)
+	}
+}
+
+// ladderOutput is real `go test -bench ScaleLadder -benchtime 1x -benchmem`
+// output at -cpu 1 and -cpu 2: sub-benchmark names end in a number of
+// their own, which a strip-any-trailing-number rule merged into one key
+// (and misread as GOMAXPROCS 100000) on single-core runs.
+const (
+	ladderCPU1 = `goos: linux
+goarch: amd64
+pkg: repro/internal/schedule
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkScaleLadder/gaussian-1000         	       1	    279898 ns/op	  151808 B/op	      54 allocs/op
+BenchmarkScaleLadder/gaussian-10000        	       1	   2857912 ns/op	 1271280 B/op	      63 allocs/op
+BenchmarkScaleLadder/gaussian-100000       	       1	  49656260 ns/op	12330448 B/op	      69 allocs/op
+PASS
+ok  	repro/internal/schedule	0.387s
+`
+	ladderCPU2 = `goos: linux
+goarch: amd64
+pkg: repro/internal/schedule
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkScaleLadder/gaussian-1000-2         	       1	    387429 ns/op	  151808 B/op	      54 allocs/op
+BenchmarkScaleLadder/gaussian-10000-2        	       1	   3332423 ns/op	 1271280 B/op	      63 allocs/op
+BenchmarkScaleLadder/gaussian-100000-2       	       1	  27729876 ns/op	12330448 B/op	      69 allocs/op
+PASS
+ok  	repro/internal/schedule	0.350s
+`
+)
+
+func TestParseBenchKeepsNumberedSubBenchmarks(t *testing.T) {
+	for _, tc := range []struct {
+		output string
+		procs  int
+		ns     [3]float64
+	}{
+		{ladderCPU1, 1, [3]float64{279898, 2857912, 49656260}},
+		{ladderCPU2, 2, [3]float64{387429, 3332423, 27729876}},
+	} {
+		benchmarks, err := parseBench(tc.output, tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(benchmarks) != 3 {
+			t.Fatalf("-cpu %d: parsed %d benchmarks, want 3 rungs: %v", tc.procs, len(benchmarks), benchmarks)
+		}
+		for i, rung := range []string{"1000", "10000", "100000"} {
+			key := "repro/internal/schedule/BenchmarkScaleLadder/gaussian-" + rung
+			if got := benchmarks[key].NsPerOp; got != tc.ns[i] {
+				t.Errorf("-cpu %d: %s ns/op = %g, want %g", tc.procs, key, got, tc.ns[i])
+			}
+		}
+	}
+	// Output whose suffix disagrees with -cpu is refused, not misparsed.
+	if _, err := parseBench(ladderCPU1, 2); err == nil {
+		t.Error("parsed -cpu 1 output as -cpu 2")
 	}
 }
 
@@ -68,7 +118,7 @@ func TestParseBenchFoldsRepetitionsByMin(t *testing.T) {
 		"BenchmarkX-8 \t 50\t 120 ns/op\t 16 B/op\t 2 allocs/op\n" +
 		"BenchmarkX-8 \t 50\t 100 ns/op\t 16 B/op\t 2 allocs/op\n" +
 		"BenchmarkX-8 \t 50\t 111 ns/op\t 24 B/op\t 3 allocs/op\n"
-	benchmarks, _, err := parseBench(reps)
+	benchmarks, err := parseBench(reps, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("-sim-engine: %w", err)
 		}
-		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res), Engine: engine})
+		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.FIFOCaps(sizes), Engine: engine})
 		if err != nil {
 			return err
 		}

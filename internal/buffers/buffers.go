@@ -14,14 +14,16 @@
 //
 // Entry points: SizeMap returns the per-edge FIFO capacities for a
 // schedule (what desim.Config consumes and the ablation compares against
-// unit FIFOs); Sizes exposes the per-edge derivation. Sizing is a pure
+// unit FIFOs); Sizes exposes the per-edge derivation, and FIFOCaps turns
+// sizes already computed into SizeMap's form. Sizing is a pure
 // function of the frozen graph and its schedule — no randomness, no
 // state — so sized simulations are reproducible and cacheable.
 package buffers
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -46,76 +48,91 @@ const MinDepth = 1
 
 // Sizes computes the buffer space of every streaming edge of the scheduled
 // graph, block by block. The result is keyed by edge and sorted by
-// (From, To).
+// (From, To). It runs in O(V + E log E): the per-block state lives in
+// node-indexed slices allocated once per call and reset per block.
 func Sizes(t *core.TaskGraph, r *schedule.Result) []EdgeSpace {
+	s := newSizer(t, r)
 	var out []EdgeSpace
-	for _, blk := range r.Partition.Blocks {
-		out = append(out, sizeBlock(t, r, blk)...)
+	for bi := range r.Partition.Blocks {
+		out = s.sizeBlock(out, bi)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(out, func(a, b EdgeSpace) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return out[i].To < out[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return out
 }
 
 // SizeMap returns Sizes as a map keyed by [from, to].
 func SizeMap(t *core.TaskGraph, r *schedule.Result) map[[2]graph.NodeID]int64 {
-	m := make(map[[2]graph.NodeID]int64)
-	for _, e := range Sizes(t, r) {
+	return FIFOCaps(Sizes(t, r))
+}
+
+// FIFOCaps keys already computed sizes by [from, to], the form
+// desim.Config.FIFOCap consumes.
+func FIFOCaps(sizes []EdgeSpace) map[[2]graph.NodeID]int64 {
+	m := make(map[[2]graph.NodeID]int64, len(sizes))
+	for _, e := range sizes {
 		m[[2]graph.NodeID{e.From, e.To}] = e.Space
 	}
 	return m
 }
 
-// sizeBlock applies Equation 5 within one spatial block.
-func sizeBlock(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []EdgeSpace {
-	inBlk := make(map[graph.NodeID]bool, len(blk.Nodes))
-	for _, v := range blk.Nodes {
-		inBlk[v] = true
+// sizer holds one Sizes call's node-indexed scratch. Index n stands for the
+// virtual super-source of cycleNodes.
+type sizer struct {
+	t       *core.TaskGraph
+	r       *schedule.Result
+	deg     []int32 // undirected in-block degree, then 2-core peeling count
+	removed []bool  // peeled off the 2-core
+	entry   []bool  // stream entry: in-block edges, but no in-block predecessor
+	queue   []int32
+}
+
+func newSizer(t *core.TaskGraph, r *schedule.Result) *sizer {
+	n := t.G.Len()
+	return &sizer{
+		t: t, r: r,
+		deg:     make([]int32, n+1),
+		removed: make([]bool, n+1),
+		entry:   make([]bool, n),
 	}
-	streaming := func(u, v graph.NodeID) bool {
-		return inBlk[u] && inBlk[v] && r.Partition.Streaming(t, u, v)
-	}
+}
+
+// sizeBlock applies Equation 5 within block bi, appending to out.
+func (s *sizer) sizeBlock(out []EdgeSpace, bi int) []EdgeSpace {
+	t, r := s.t, s.r
+	blockOf := r.Partition.BlockOf
+	blk := r.Partition.Blocks[bi]
 	// Delay paths can also run through in-block buffer nodes (Figure 4,
 	// graph 2: the norm value reaches the divider only after the whole
 	// input was consumed), so cycle detection and the per-node delay bound
 	// consider every in-block edge, while only streaming edges receive
 	// FIFO space.
-	inBlockEdge := func(u, v graph.NodeID) bool { return inBlk[u] && inBlk[v] }
+	s.cycleNodes(blk, bi)
 
-	onCycle := cycleNodes(t, blk, inBlockEdge)
-
-	var out []EdgeSpace
 	for _, v := range blk.Nodes {
-		// Gather the streaming predecessors of v inside the block.
-		var preds []graph.NodeID
-		for _, u := range t.G.Preds(v) {
-			if streaming(u, v) {
-				preds = append(preds, u)
-			}
-		}
-		if len(preds) == 0 {
-			continue
-		}
 		// The highest delay any element experiences reaching v is the
 		// largest first-out time among its in-block predecessors, whether
 		// they stream directly or emit from a buffer.
 		maxFO := math.Inf(-1)
 		nPreds := 0
 		for _, u := range t.G.Preds(v) {
-			if inBlockEdge(u, v) {
+			if blockOf[u] == bi {
 				nPreds++
 				if r.FO[u] > maxFO {
 					maxFO = r.FO[u]
 				}
 			}
 		}
-		for _, u := range preds {
+		cyc := s.onCycle(v) && nPreds > 1
+		for _, u := range t.G.Preds(v) {
+			if !r.Partition.Streaming(t, u, v) {
+				continue
+			}
 			space := int64(MinDepth)
-			cyc := onCycle[v] && nPreds > 1
 			if cyc {
 				so := r.So[u]
 				if so < 1 {
@@ -135,74 +152,93 @@ func sizeBlock(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []Edge
 	return out
 }
 
-// cycleNodes returns the set of block nodes lying on an undirected cycle of
-// the block's streaming subgraph. A node is on an undirected cycle exactly
-// when it survives in the 2-core of the undirected graph (iteratively
-// pruning nodes of degree < 2), which is equivalent to the marked-ancestor
-// DFS the paper describes and runs in O(V + E).
+// onCycle reports whether v survived the last cycleNodes peel.
+func (s *sizer) onCycle(v graph.NodeID) bool { return s.deg[v] >= 2 && !s.removed[v] }
+
+// cycleNodes marks the block nodes lying on an undirected cycle of the
+// block's in-block subgraph (read back with onCycle). A node is on an
+// undirected cycle exactly when it survives in the 2-core of the undirected
+// graph (iteratively pruning nodes of degree < 2), which is equivalent to
+// the marked-ancestor DFS the paper describes and runs in O(V + E).
 //
 // A virtual super-source is connected to every stream entry of the block
-// (nodes with no in-block streaming predecessor): independent streams are
-// coupled through the environment they all draw from, so a join of two
-// source-fed chains can stall exactly like a reconvergent diamond — this is
-// the situation of Figure 9, graph 2.
-func cycleNodes(t *core.TaskGraph, blk schedule.Block, inBlockEdge func(u, v graph.NodeID) bool) map[graph.NodeID]bool {
-	const virtual = graph.NodeID(-2) // super-source sentinel
-	deg := make(map[graph.NodeID]int, len(blk.Nodes))
-	adj := make(map[graph.NodeID][]graph.NodeID, len(blk.Nodes))
+// (nodes with no in-block predecessor): independent streams are coupled
+// through the environment they all draw from, so a join of two source-fed
+// chains can stall exactly like a reconvergent diamond — this is the
+// situation of Figure 9, graph 2. The virtual node is only peeled once a
+// neighbor's removal drops its degree below 2, never up front.
+//
+// Neighbors are never materialized: they are v's in-block successors and
+// predecessors, plus the virtual node for an entry; the virtual node's
+// neighbors are the block's entries.
+func (s *sizer) cycleNodes(blk schedule.Block, bi int) {
+	t, blockOf := s.t, s.r.Partition.BlockOf
+	virtual := int32(t.G.Len())
+	s.deg[virtual], s.removed[virtual] = 0, false
 	for _, v := range blk.Nodes {
-		for _, w := range t.G.Succs(v) {
-			if inBlockEdge(v, w) {
-				deg[v]++
-				deg[w]++
-				adj[v] = append(adj[v], w)
-				adj[w] = append(adj[w], v)
-			}
-		}
+		s.deg[v], s.removed[v] = 0, false
 	}
 	for _, v := range blk.Nodes {
-		entry := deg[v] > 0 // participates in a stream...
+		hasPred := false
 		for _, u := range t.G.Preds(v) {
-			if inBlockEdge(u, v) {
-				entry = false // ...but is fed within the block
-				break
+			if blockOf[u] == bi {
+				s.deg[v]++
+				hasPred = true
 			}
 		}
-		if entry {
-			deg[v]++
-			deg[virtual]++
-			adj[v] = append(adj[v], virtual)
-			adj[virtual] = append(adj[virtual], v)
+		for _, w := range t.G.Succs(v) {
+			if blockOf[w] == bi {
+				s.deg[v]++
+			}
+		}
+		// An entry participates in a stream but is not fed within the block.
+		s.entry[v] = s.deg[v] > 0 && !hasPred
+		if s.entry[v] {
+			s.deg[v]++
+			s.deg[virtual]++
 		}
 	}
 	// Peel degree-<2 nodes.
-	var queue []graph.NodeID
-	removed := make(map[graph.NodeID]bool)
+	queue := s.queue[:0]
 	for _, v := range blk.Nodes {
-		if deg[v] < 2 {
-			queue = append(queue, v)
-			removed[v] = true
+		if s.deg[v] < 2 {
+			queue = append(queue, int32(v))
+			s.removed[v] = true
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if removed[w] {
-				continue
+	drop := func(w int32) {
+		if s.removed[w] {
+			return
+		}
+		s.deg[w]--
+		if s.deg[w] < 2 {
+			s.removed[w] = true
+			queue = append(queue, w)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		if v == virtual {
+			for _, w := range blk.Nodes {
+				if s.entry[w] {
+					drop(int32(w))
+				}
 			}
-			deg[w]--
-			if deg[w] < 2 {
-				removed[w] = true
-				queue = append(queue, w)
+			continue
+		}
+		for _, w := range t.G.Succs(graph.NodeID(v)) {
+			if blockOf[w] == bi {
+				drop(int32(w))
 			}
 		}
-	}
-	onCycle := make(map[graph.NodeID]bool)
-	for _, v := range blk.Nodes {
-		if deg[v] >= 2 && !removed[v] {
-			onCycle[v] = true
+		for _, u := range t.G.Preds(graph.NodeID(v)) {
+			if blockOf[u] == bi {
+				drop(int32(u))
+			}
+		}
+		if s.entry[v] {
+			drop(virtual)
 		}
 	}
-	return onCycle
+	s.queue = queue
 }

@@ -21,9 +21,9 @@ func scheduleAll(t *testing.T, tg *core.TaskGraph) *schedule.Result {
 	return r
 }
 
-// TestBufferSpaceFig9Graph1 reproduces the Section 6 result: the FIFO on
-// edge (0,4) of Figure 9 graph 1 needs 18 slots.
-func TestBufferSpaceFig9Graph1(t *testing.T) {
+// fig9Graph1 is Figure 9 graph 1: 0 (O=32) -> 1 (32->4) -> 2 (4->2) ->
+// 3 (2->32) -> 4, plus the direct edge 0 -> 4.
+func fig9Graph1() *core.TaskGraph {
 	tg := core.New()
 	n0 := tg.AddElementWise("t0", 32)
 	n1 := tg.AddCompute("t1", 32, 4)
@@ -35,6 +35,32 @@ func TestBufferSpaceFig9Graph1(t *testing.T) {
 	tg.MustConnect(n2, n3)
 	tg.MustConnect(n3, n4)
 	tg.MustConnect(n0, n4)
+	return tg
+}
+
+// fig9Graph2 is Figure 9 graph 2: two chains joining at task 5,
+// 0 (O=32) -> 1 (32->1) -> 2 (1->32) -> 5 and 3 (O=32) -> 4 -> 5.
+func fig9Graph2() *core.TaskGraph {
+	tg := core.New()
+	n0 := tg.AddElementWise("t0", 32)
+	n1 := tg.AddCompute("t1", 32, 1)
+	n2 := tg.AddCompute("t2", 1, 32)
+	n3 := tg.AddElementWise("t3", 32)
+	n4 := tg.AddElementWise("t4", 32)
+	n5 := tg.AddElementWise("t5", 32)
+	tg.MustConnect(n0, n1)
+	tg.MustConnect(n1, n2)
+	tg.MustConnect(n2, n5)
+	tg.MustConnect(n3, n4)
+	tg.MustConnect(n4, n5)
+	return tg
+}
+
+// TestBufferSpaceFig9Graph1 reproduces the Section 6 result: the FIFO on
+// edge (0,4) of Figure 9 graph 1 needs 18 slots.
+func TestBufferSpaceFig9Graph1(t *testing.T) {
+	tg := fig9Graph1()
+	n0, n3, n4 := graph.NodeID(0), graph.NodeID(3), graph.NodeID(4)
 	r := scheduleAll(t, tg)
 	m := SizeMap(tg, r)
 	if got := m[[2]graph.NodeID{n0, n4}]; got != 18 {
@@ -48,18 +74,8 @@ func TestBufferSpaceFig9Graph1(t *testing.T) {
 // TestBufferSpaceFig9Graph2 reproduces the second example: the channel on
 // the fast path into task 5 needs 32 slots.
 func TestBufferSpaceFig9Graph2(t *testing.T) {
-	tg := core.New()
-	n0 := tg.AddElementWise("t0", 32)
-	n1 := tg.AddCompute("t1", 32, 1)
-	n2 := tg.AddCompute("t2", 1, 32)
-	n3 := tg.AddElementWise("t3", 32)
-	n4 := tg.AddElementWise("t4", 32)
-	n5 := tg.AddElementWise("t5", 32)
-	tg.MustConnect(n0, n1)
-	tg.MustConnect(n1, n2)
-	tg.MustConnect(n2, n5)
-	tg.MustConnect(n3, n4)
-	tg.MustConnect(n4, n5)
+	tg := fig9Graph2()
+	n2, n4, n5 := graph.NodeID(2), graph.NodeID(4), graph.NodeID(5)
 	r := scheduleAll(t, tg)
 	m := SizeMap(tg, r)
 	if got := m[[2]graph.NodeID{n4, n5}]; got != 32 {

@@ -92,6 +92,9 @@ func TestGoldenSchedules(t *testing.T) {
 		if res.Makespan != tc.makespan {
 			t.Errorf("%s/%s/P=%d: makespan %g, want %g", tc.graph, tc.variant, tc.p, res.Makespan, tc.makespan)
 		}
+		if err := res.Validate(tg, tc.p); err != nil {
+			t.Errorf("%s/%s/P=%d: %v", tc.graph, tc.variant, tc.p, err)
+		}
 	}
 }
 

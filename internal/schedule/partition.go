@@ -455,12 +455,17 @@ func PartitionLevelOrder(t *core.TaskGraph, p int) (Partition, error) {
 
 // Validate checks the structural invariants of a partition: every node in
 // exactly one block, compute counts within P, and block dependencies acyclic
-// (a node's predecessors are never in a later block).
+// (a node's predecessors are never in a later block). It runs in O(V + E).
 func (p Partition) Validate(t *core.TaskGraph, pes int) error {
+	return p.validate(t, pes, make([]bool, t.G.Len()))
+}
+
+// validate is Validate with caller-supplied, cleared scratch marks of
+// length t.G.Len(), so the Scheduler can validate without allocating.
+func (p Partition) validate(t *core.TaskGraph, pes int, seen []bool) error {
 	if len(p.BlockOf) != t.G.Len() {
 		return fmt.Errorf("schedule: BlockOf covers %d of %d nodes", len(p.BlockOf), t.G.Len())
 	}
-	seen := make([]bool, t.G.Len())
 	for bi, b := range p.Blocks {
 		cc := 0
 		for _, v := range b.Nodes {
@@ -487,10 +492,18 @@ func (p Partition) Validate(t *core.TaskGraph, pes int) error {
 			return fmt.Errorf("schedule: node %d not assigned to any block", v)
 		}
 	}
-	for _, e := range t.G.Edges() {
-		if p.BlockOf[e.From] > p.BlockOf[e.To] {
+	// Report the first backward edge in (From, To) order: the smallest
+	// offending successor of the smallest offending node.
+	for from := range p.BlockOf {
+		to := graph.InvalidNode
+		for _, w := range t.G.Succs(graph.NodeID(from)) {
+			if p.BlockOf[from] > p.BlockOf[w] && (to == graph.InvalidNode || w < to) {
+				to = w
+			}
+		}
+		if to != graph.InvalidNode {
 			return fmt.Errorf("schedule: edge (%d,%d) goes from block %d back to block %d",
-				e.From, e.To, p.BlockOf[e.From], p.BlockOf[e.To])
+				from, to, p.BlockOf[from], p.BlockOf[to])
 		}
 	}
 	return nil

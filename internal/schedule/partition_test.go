@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,41 @@ func TestValidateCatchesBrokenPartitions(t *testing.T) {
 		}
 		if err := part.Validate(tg, p); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestValidateReportsFirstBackwardEdge: on partitions with many backward
+// edges, Validate names the first one in (From, To) order, as a scan of the
+// sorted graph.DAG.Edges list does.
+func TestValidateReportsFirstBackwardEdge(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tg := synth.Gaussian(3+rng.Intn(10), rng, synth.DefaultConfig())
+		nb := 2 + rng.Intn(4)
+		part := Partition{Blocks: make([]Block, nb), BlockOf: make([]int, tg.G.Len())}
+		for v := range part.BlockOf {
+			b := rng.Intn(nb)
+			part.BlockOf[v] = b
+			part.Blocks[b].Nodes = append(part.Blocks[b].Nodes, graph.NodeID(v))
+			if countsTowardP(tg, graph.NodeID(v)) {
+				part.Blocks[b].ComputeCount++
+			}
+		}
+		var want string
+		for _, e := range tg.G.Edges() {
+			if part.BlockOf[e.From] > part.BlockOf[e.To] {
+				want = fmt.Sprintf("schedule: edge (%d,%d) goes from block %d back to block %d",
+					e.From, e.To, part.BlockOf[e.From], part.BlockOf[e.To])
+				break
+			}
+		}
+		err := part.Validate(tg, tg.G.Len())
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("seed %d: %v, want no error", seed, err)
+		case want != "" && (err == nil || err.Error() != want):
+			t.Errorf("seed %d: error %v, want %q", seed, err, want)
 		}
 	}
 }

@@ -40,16 +40,28 @@ type Result struct {
 }
 
 // Scheduler evaluates schedules while reusing its internal scratch buffers
-// (block membership marks, buffer-fill times, sub-graph index maps) across
-// calls. Sweeps that schedule many graphs allocate one Scheduler per worker;
-// a Scheduler must not be used from multiple goroutines at once. The zero
-// value is ready to use. The returned Results own all their slices, so they
-// stay valid after further Schedule calls.
+// (per-block topological order, buffer-fill times, union-find forest,
+// component maxima) across calls. Sweeps that schedule many graphs allocate
+// one Scheduler per worker; a Scheduler must not be used from multiple
+// goroutines at once. The zero value is ready to use. The returned Results
+// own all their slices, so they stay valid after further Schedule calls.
+//
+// Schedule runs in O(V + E + blocks): the global topological order is
+// bucketed by block once, each block's recurrences walk only its own
+// bucket, and the Theorem 4.1 components come from a union-find over the
+// block's local indices. After warm-up it allocates only the Result
+// (TestScheduleAllocFree). ScheduleReference is the executable
+// specification it is differentially tested against.
 type Scheduler struct {
 	bufferFill []float64
-	inBlk      []bool  // blockTimes: node in current block
-	localIdx   []int32 // blockIntervals: node -> local index, -1 outside
-	owner      []graph.NodeID
+	seen       []bool         // partition validation marks
+	order      []graph.NodeID // topological order, bucketed by block
+	start      []int32        // order[start[b]:start[b+1]] is block b
+	local      []int32        // node -> index in its block's Nodes
+	side       []int32        // node -> local index of its head side (buffers: appended head)
+	parent     []int32        // union-find forest over a block's local indices
+	comp       []int32        // local index -> dense component number
+	maxOut     []int64        // per component: max produced (or ingested) volume
 }
 
 // NewScheduler returns a Scheduler with empty scratch buffers.
@@ -65,10 +77,40 @@ func Schedule(t *core.TaskGraph, part Partition, p int) (*Result, error) {
 
 // Schedule is the scratch-reusing equivalent of the package-level Schedule.
 func (s *Scheduler) Schedule(t *core.TaskGraph, part Partition, p int) (*Result, error) {
-	if err := part.Validate(t, p); err != nil {
+	n := t.G.Len()
+	s.seen = scratch.GrowBools(s.seen, n)
+	if err := part.validate(t, p, s.seen); err != nil {
 		return nil, err
 	}
-	n := t.G.Len()
+	r := newResult(part, n)
+
+	// bufferFill[v]: for buffer nodes, the time the tail has received all
+	// its input; consumers in later blocks read from memory and only need
+	// the fill time, not the emission time.
+	s.bufferFill = scratch.GrowFloats(s.bufferFill, n)
+	s.local = scratch.GrowInt32s(s.local, n)
+	s.side = scratch.GrowInt32s(s.side, n)
+	s.bucketByBlock(t, part)
+
+	compBase := 0
+	blockStart := 0.0
+	for bi, blk := range part.Blocks {
+		r.BlockStart[bi] = blockStart
+		compBase = s.blockIntervals(r, t, part, bi, compBase)
+		r.assignPEs(t, blk)
+		end := s.blockTimes(r, t, part.BlockOf, bi, blockStart)
+		if end > r.Makespan {
+			r.Makespan = end
+		}
+		// Barrier: the next block starts once every task of this block has
+		// completed.
+		blockStart = end
+	}
+	return r, nil
+}
+
+// newResult allocates a Result over part with every PE unassigned.
+func newResult(part Partition, n int) *Result {
 	r := &Result{
 		Partition:  part,
 		ST:         make([]float64, n),
@@ -83,129 +125,150 @@ func (s *Scheduler) Schedule(t *core.TaskGraph, part Partition, p int) (*Result,
 	for v := range r.PE {
 		r.PE[v] = -1
 	}
+	return r
+}
 
-	// bufferFill[v]: for buffer nodes, the time the tail has received all
-	// its input; consumers in later blocks read from memory and only need
-	// the fill time, not the emission time.
-	s.bufferFill = scratch.GrowFloats(s.bufferFill, n)
-	s.inBlk = scratch.GrowBools(s.inBlk, n)
-	if cap(s.localIdx) < n {
-		s.localIdx = make([]int32, n)
+// bucketByBlock stably counting-sorts the global topological order by
+// block, so each block's bucket is its nodes in global topological order
+// (a valid order for the block's recurrences).
+func (s *Scheduler) bucketByBlock(t *core.TaskGraph, part Partition) {
+	nb := len(part.Blocks)
+	if cap(s.order) < t.G.Len() {
+		s.order = make([]graph.NodeID, t.G.Len())
 	}
-	s.localIdx = s.localIdx[:n]
-	for i := range s.localIdx {
-		s.localIdx[i] = -1
+	s.order = s.order[:t.G.Len()]
+	// start[b+1] begins as block b's first slot and is advanced past every
+	// node placed, so it ends as block b's end, which is block b+1's start.
+	s.start = scratch.GrowInt32s(s.start, nb+1)
+	for b := 0; b+1 < nb; b++ {
+		s.start[b+2] = s.start[b+1] + int32(len(part.Blocks[b].Nodes))
 	}
-
-	compBase := 0
-	blockStart := 0.0
-	for bi, blk := range part.Blocks {
-		r.BlockStart[bi] = blockStart
-		compBase = s.blockIntervals(r, t, blk, compBase)
-		r.assignPEs(t, blk)
-		end := s.blockTimes(r, t, blk, blockStart)
-		if end > r.Makespan {
-			r.Makespan = end
-		}
-		// Barrier: the next block starts once every task of this block has
-		// completed.
-		blockStart = end
+	for _, v := range t.G.Topo() {
+		b := part.BlockOf[v]
+		s.order[s.start[b+1]] = v
+		s.start[b+1]++
 	}
-	return r, nil
 }
 
 // blockIntervals computes block-local streaming intervals (Theorem 4.1 on
 // the subgraph induced by the block, after buffer splitting) and stores them
 // into r.So/r.Si/r.Comp. compBase offsets component IDs so they stay unique
 // across blocks; the new base is returned.
-func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, compBase int) int {
-	localIdx := s.localIdx // node -> local index; -1 outside the block
+//
+// The buffer-split subgraph is never materialized: local index i is block
+// node i (the tail side of a buffer), and each buffer's head side is
+// appended after the block's nodes, in block order. Components come from a
+// union-find that links the larger root under the smaller, so every root is
+// its component's smallest member and numbering roots in index order is
+// exactly graph.DAG.WCC's dense order by smallest member.
+func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, part Partition, bi, compBase int) int {
+	blk := part.Blocks[bi]
+	m := int32(len(blk.Nodes))
 	for i, v := range blk.Nodes {
-		localIdx[v] = int32(i)
-	}
-	defer func() {
-		for _, v := range blk.Nodes {
-			localIdx[v] = -1
-		}
-	}()
-
-	// Build the buffer-split subgraph: local node i for each block node;
-	// buffers get an extra head node appended.
-	sub := graph.NewWithCapacity(len(blk.Nodes))
-	owner := s.owner[:0]
-	head := make(map[graph.NodeID]graph.NodeID, 4)
-	for _, v := range blk.Nodes {
-		sub.AddNode()
-		owner = append(owner, v)
+		s.local[v] = int32(i)
+		s.side[v] = int32(i)
 	}
 	for _, v := range blk.Nodes {
 		if t.Nodes[v].Kind == core.Buffer {
-			h := sub.AddNode()
-			owner = append(owner, v)
-			head[v] = h
+			s.side[v] = m
+			m++
 		}
 	}
-	s.owner = owner
+	parent := scratch.GrowInt32s(s.parent, int(m))
+	s.parent = parent
+	for i := range parent {
+		parent[i] = int32(i)
+	}
 	for _, v := range blk.Nodes {
+		from := s.side[v]
 		for _, w := range t.G.Succs(v) {
-			wi := localIdx[w]
-			if wi < 0 {
-				continue // cross-block edge: buffered, not part of the stream
+			if part.BlockOf[w] == bi { // cross-block edges are buffered, not streamed
+				union(parent, from, s.local[w])
 			}
-			from := graph.NodeID(localIdx[v])
-			if h, isBuf := head[v]; isBuf {
-				from = h
-			}
-			sub.MustEdge(from, graph.NodeID(wi), t.G.Volume(v, w))
+		}
+	}
+	comp := scratch.GrowInt32s(s.comp, int(m))
+	s.comp = comp
+	count := int32(0)
+	for i := int32(0); i < m; i++ {
+		if root := find(parent, i); root == i {
+			comp[i] = count
+			count++
+		} else {
+			comp[i] = comp[root]
 		}
 	}
 
-	comp, count := sub.WCC()
-	maxOut := make([]int64, count)
-	for sv := 0; sv < sub.Len(); sv++ {
-		v := owner[sv]
+	maxOut := scratch.GrowInts(s.maxOut, int(count))
+	s.maxOut = maxOut
+	for i, v := range blk.Nodes {
 		node := t.Nodes[v]
 		out := node.Out
-		if node.Kind == core.Buffer && head[v] != graph.NodeID(sv) {
+		if node.Kind == core.Buffer {
 			out = 0 // tail side produces nothing downstream
-		}
-		// A node that ingests data produced outside this stream (a block
-		// source re-reading memory, or a buffer head replaying its content)
-		// is still rate-limited to one element per cycle per input edge, so
-		// its input volume bounds the component period too. For nodes fed
-		// within the component this is a no-op: their In equals the
-		// producer's Out, which is already counted.
-		if node.Kind != core.Source && t.G.InDegree(v) > 0 && node.In > out {
-			if !(node.Kind == core.Buffer && head[v] == graph.NodeID(sv)) {
-				out = node.In
+			// The head side replays the buffered content at its own volume.
+			if h := comp[s.side[v]]; node.Out > maxOut[h] {
+				maxOut[h] = node.Out
 			}
 		}
-		if out > maxOut[comp[sv]] {
-			maxOut[comp[sv]] = out
+		// A node that ingests data produced outside this stream (a block
+		// source re-reading memory, or a buffer tail) is still rate-limited
+		// to one element per cycle per input edge, so its input volume
+		// bounds the component period too. For nodes fed within the
+		// component this is a no-op: their In equals the producer's Out,
+		// which is already counted.
+		if node.Kind != core.Source && t.G.InDegree(v) > 0 && node.In > out {
+			out = node.In
+		}
+		if c := comp[i]; out > maxOut[c] {
+			maxOut[c] = out
 		}
 	}
 
 	for i, v := range blk.Nodes {
-		node := t.Nodes[v]
-		headSide := i
-		if h, isBuf := head[v]; isBuf {
-			headSide = int(h)
-		}
-		r.Comp[v] = compBase + comp[headSide]
-		if node.Kind != core.Sink && node.Out > 0 {
-			r.So[v] = float64(maxOut[comp[headSide]]) / float64(node.Out)
-			if r.So[v] < 1 {
-				r.So[v] = 1
-			}
-		}
-		if node.Kind != core.Source && node.In > 0 {
-			r.Si[v] = float64(maxOut[comp[i]]) / float64(node.In)
-			if r.Si[v] < 1 {
-				r.Si[v] = 1
-			}
+		h := comp[s.side[v]]
+		r.Comp[v] = compBase + int(h)
+		r.setIntervals(t, v, maxOut[h], maxOut[comp[i]])
+	}
+	return compBase + int(count)
+}
+
+// find returns the root of x, halving the path on the way.
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// union merges the sets of a and b under the smaller of the two roots.
+func union(parent []int32, a, b int32) {
+	ra, rb := find(parent, a), find(parent, b)
+	switch {
+	case ra < rb:
+		parent[rb] = ra
+	case rb < ra:
+		parent[ra] = rb
+	}
+}
+
+// setIntervals stores v's streaming intervals from the largest volume of
+// the component on its head (output) side and on its tail (input) side.
+func (r *Result) setIntervals(t *core.TaskGraph, v graph.NodeID, headMax, tailMax int64) {
+	node := t.Nodes[v]
+	if node.Kind != core.Sink && node.Out > 0 {
+		r.So[v] = float64(headMax) / float64(node.Out)
+		if r.So[v] < 1 {
+			r.So[v] = 1
 		}
 	}
-	return compBase + count
+	if node.Kind != core.Source && node.In > 0 {
+		r.Si[v] = float64(tailMax) / float64(node.In)
+		if r.Si[v] < 1 {
+			r.Si[v] = 1
+		}
+	}
 }
 
 // assignPEs gives each computational node of the block a PE index.
@@ -219,138 +282,141 @@ func (r *Result) assignPEs(t *core.TaskGraph, blk Block) {
 	}
 }
 
-// blockTimes evaluates the ST/FO/LO recurrences of Section 5.1 for one block
-// and returns the completion time of the block (max LO over its nodes).
-func (s *Scheduler) blockTimes(r *Result, t *core.TaskGraph, blk Block, blockStart float64) float64 {
-	inBlk, bufferFill := s.inBlk, s.bufferFill
-	for _, v := range blk.Nodes {
-		inBlk[v] = true
-	}
-	defer func() {
-		for _, v := range blk.Nodes {
-			inBlk[v] = false
-		}
-	}()
-
-	// Topological order restricted to the block (global topo order works).
-	topo := t.G.Topo()
+// blockTimes evaluates the ST/FO/LO recurrences of Section 5.1 for block bi,
+// whose nodes are the bucket order[start[bi]:start[bi+1]] in topological
+// order, and returns the completion time of the block (max LO over its
+// nodes).
+func (s *Scheduler) blockTimes(r *Result, t *core.TaskGraph, blockOf []int, bi int, blockStart float64) float64 {
 	end := blockStart
-	for _, v := range topo {
-		if !inBlk[v] {
-			continue
-		}
-		node := t.Nodes[v]
-		graphSource := t.G.InDegree(v) == 0
-
-		// Classify predecessors and gather their contribution.
-		maxInFO := math.Inf(-1)   // max FO over in-block predecessors
-		maxOutLO := math.Inf(-1)  // max (memory-availability) over cross-block predecessors
-		maxPredLO := math.Inf(-1) // max LO over all predecessors (block-local view)
-		hasInPred := false
+	for _, v := range s.order[s.start[bi]:s.start[bi+1]] {
+		in := newPredSummary()
 		for _, u := range t.G.Preds(v) {
-			if inBlk[u] {
-				hasInPred = true
-				if r.FO[u] > maxInFO {
-					maxInFO = r.FO[u]
-				}
-				if r.LO[u] > maxPredLO {
-					maxPredLO = r.LO[u]
-				}
-			} else {
-				avail := r.LO[u]
-				if t.Nodes[u].Kind == core.Buffer {
-					avail = bufferFill[u] // data is in memory once the tail filled
-				}
-				if avail > maxOutLO {
-					maxOutLO = avail
-				}
-				if avail > maxPredLO {
-					maxPredLO = avail
-				}
-			}
+			in.add(r, t, u, blockOf[u] == bi, s.bufferFill)
 		}
-
-		rate := node.Rate()
-		switch {
-		case node.Kind == core.Sink:
-			// Sinks absorb into memory; the last element arrives when the
-			// slowest producer emits it.
-			r.ST[v] = math.Max(blockStart, maxInFO)
-			if !hasInPred {
-				r.ST[v] = math.Max(blockStart, maxOutLO)
-			}
-			r.FO[v] = math.Max(blockStart, maxPredLO)
-			r.LO[v] = r.FO[v]
-
-		case node.Kind == core.Buffer:
-			// A buffer waits for the completion of all preceding tasks,
-			// then emits O elements at its head interval.
-			base := math.Max(blockStart, maxPredLO)
-			if math.IsInf(base, -1) {
-				base = blockStart
-			}
-			bufferFill[v] = base
-			r.ST[v] = base
-			r.FO[v] = base + 1
-			r.LO[v] = base + math.Ceil((float64(node.Out)-1)*r.So[v]) + 1
-
-		case graphSource:
-			// Source of the whole task graph (explicit Source node or an
-			// entry computational task reading from memory).
-			r.ST[v] = blockStart
-			r.FO[v] = blockStart + 1
-			r.LO[v] = blockStart + math.Ceil((float64(node.Out)-1)*r.So[v]) + 1
-
-		case !hasInPred:
-			// Source of the block but not of the graph: waits for the
-			// completion of tasks in previous blocks, then streams its data
-			// from memory. Unlike a graph source it has a real input volume;
-			// re-reading it at one element per cycle floors the last-out
-			// time at In cycles.
-			base := math.Max(blockStart, maxOutLO)
-			r.ST[v] = base
-			if rate > 0 && rate < 1 {
-				r.FO[v] = base + math.Ceil((1/rate-1)*r.Si[v]) + 1
-			} else {
-				r.FO[v] = base + 1
-			}
-			r.LO[v] = base + math.Max(
-				math.Ceil((float64(node.Out)-1)*r.So[v])+1,
-				float64(node.In))
-			if fo := r.FO[v]; r.LO[v] < fo {
-				r.LO[v] = fo
-			}
-
-		default:
-			// Interior node of the block: Equation (3) and the first-out
-			// recurrence. Mixed predecessors (some cross-block) contribute
-			// their memory availability to the start.
-			base := math.Max(blockStart, maxInFO)
-			if !math.IsInf(maxOutLO, -1) {
-				base = math.Max(base, maxOutLO)
-			}
-			r.ST[v] = base
-			if rate > 0 && rate < 1 {
-				r.FO[v] = base + math.Ceil((1/rate-1)*r.Si[v]) + 1
-			} else {
-				r.FO[v] = base + 1
-			}
-			loBase := math.Max(blockStart, maxPredLO)
-			if rate > 1 {
-				r.LO[v] = loBase + math.Ceil((rate-1)*r.So[v]) + 1
-			} else {
-				r.LO[v] = loBase + 1
-			}
-			if r.LO[v] < r.FO[v] {
-				r.LO[v] = r.FO[v]
-			}
-		}
-
-		if r.LO[v] > end {
-			end = r.LO[v]
+		if lo := r.nodeTimes(t, v, blockStart, in, s.bufferFill); lo > end {
+			end = lo
 		}
 	}
 	return end
+}
+
+// predSummary is what the Section 5.1 recurrences need to know about a
+// node's predecessors.
+type predSummary struct {
+	maxInFO   float64 // max FO over in-block predecessors
+	maxOutLO  float64 // max (memory-availability) over cross-block predecessors
+	maxPredLO float64 // max LO over all predecessors (block-local view)
+	hasInPred bool
+}
+
+func newPredSummary() predSummary {
+	return predSummary{maxInFO: math.Inf(-1), maxOutLO: math.Inf(-1), maxPredLO: math.Inf(-1)}
+}
+
+// add folds predecessor u, in the node's block or not, into the summary.
+func (in *predSummary) add(r *Result, t *core.TaskGraph, u graph.NodeID, inBlock bool, bufferFill []float64) {
+	if inBlock {
+		in.hasInPred = true
+		if r.FO[u] > in.maxInFO {
+			in.maxInFO = r.FO[u]
+		}
+		if r.LO[u] > in.maxPredLO {
+			in.maxPredLO = r.LO[u]
+		}
+		return
+	}
+	avail := r.LO[u]
+	if t.Nodes[u].Kind == core.Buffer {
+		avail = bufferFill[u] // data is in memory once the tail filled
+	}
+	if avail > in.maxOutLO {
+		in.maxOutLO = avail
+	}
+	if avail > in.maxPredLO {
+		in.maxPredLO = avail
+	}
+}
+
+// nodeTimes applies the Section 5.1 recurrences to v, given the summary of
+// its predecessors, and returns its last-out time.
+func (r *Result) nodeTimes(t *core.TaskGraph, v graph.NodeID, blockStart float64, in predSummary, bufferFill []float64) float64 {
+	node := t.Nodes[v]
+	rate := node.Rate()
+	switch {
+	case node.Kind == core.Sink:
+		// Sinks absorb into memory; the last element arrives when the
+		// slowest producer emits it.
+		r.ST[v] = math.Max(blockStart, in.maxInFO)
+		if !in.hasInPred {
+			r.ST[v] = math.Max(blockStart, in.maxOutLO)
+		}
+		r.FO[v] = math.Max(blockStart, in.maxPredLO)
+		r.LO[v] = r.FO[v]
+
+	case node.Kind == core.Buffer:
+		// A buffer waits for the completion of all preceding tasks,
+		// then emits O elements at its head interval.
+		base := math.Max(blockStart, in.maxPredLO)
+		if math.IsInf(base, -1) {
+			base = blockStart
+		}
+		bufferFill[v] = base
+		r.ST[v] = base
+		r.FO[v] = base + 1
+		r.LO[v] = base + math.Ceil((float64(node.Out)-1)*r.So[v]) + 1
+
+	case t.G.InDegree(v) == 0:
+		// Source of the whole task graph (explicit Source node or an
+		// entry computational task reading from memory).
+		r.ST[v] = blockStart
+		r.FO[v] = blockStart + 1
+		r.LO[v] = blockStart + math.Ceil((float64(node.Out)-1)*r.So[v]) + 1
+
+	case !in.hasInPred:
+		// Source of the block but not of the graph: waits for the
+		// completion of tasks in previous blocks, then streams its data
+		// from memory. Unlike a graph source it has a real input volume;
+		// re-reading it at one element per cycle floors the last-out
+		// time at In cycles.
+		base := math.Max(blockStart, in.maxOutLO)
+		r.ST[v] = base
+		if rate > 0 && rate < 1 {
+			r.FO[v] = base + math.Ceil((1/rate-1)*r.Si[v]) + 1
+		} else {
+			r.FO[v] = base + 1
+		}
+		r.LO[v] = base + math.Max(
+			math.Ceil((float64(node.Out)-1)*r.So[v])+1,
+			float64(node.In))
+		if fo := r.FO[v]; r.LO[v] < fo {
+			r.LO[v] = fo
+		}
+
+	default:
+		// Interior node of the block: Equation (3) and the first-out
+		// recurrence. Mixed predecessors (some cross-block) contribute
+		// their memory availability to the start.
+		base := math.Max(blockStart, in.maxInFO)
+		if !math.IsInf(in.maxOutLO, -1) {
+			base = math.Max(base, in.maxOutLO)
+		}
+		r.ST[v] = base
+		if rate > 0 && rate < 1 {
+			r.FO[v] = base + math.Ceil((1/rate-1)*r.Si[v]) + 1
+		} else {
+			r.FO[v] = base + 1
+		}
+		loBase := math.Max(blockStart, in.maxPredLO)
+		if rate > 1 {
+			r.LO[v] = loBase + math.Ceil((rate-1)*r.So[v]) + 1
+		} else {
+			r.LO[v] = loBase + 1
+		}
+		if r.LO[v] < r.FO[v] {
+			r.LO[v] = r.FO[v]
+		}
+	}
+	return r.LO[v]
 }
 
 // SequentialTime returns T1: the sum of node works, i.e. the single-PE

@@ -96,7 +96,7 @@ func BuildReport(tg *core.TaskGraph, pes int, v schedule.Variant, varName string
 		}
 	}
 	if simulate {
-		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.FIFOCaps(sizes)})
 		if err != nil {
 			return nil, err
 		}

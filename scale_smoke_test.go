@@ -43,7 +43,8 @@ func stage(t *testing.T, name string, budget time.Duration, f func()) {
 // TestScaleSmokePipeline drives a 10^5-task synthetic graph end to end —
 // partition (fast path), validation, scheduling, and an auto-engine
 // discrete-event simulation — then builds the ~10^6-task deep MLP and runs
-// partition plus scheduling on it.
+// partition, scheduling (with Result.Validate), streaming depth and buffer
+// sizing on it.
 func TestScaleSmokePipeline(t *testing.T) {
 	requireScaleSmoke(t)
 
@@ -86,8 +87,9 @@ func TestScaleSmokePipeline(t *testing.T) {
 		t.Errorf("auto picked %v on a 10^5-task graph, want leap", st.Leap.Engine)
 	}
 
-	// Stage 2: the ~10^6-task deep MLP, build + partition + schedule (no
-	// simulation and no reference comparison at this size).
+	// Stage 2: the ~10^6-task deep MLP, build + partition + schedule +
+	// depth + sizing (no simulation and no reference comparison at this
+	// size).
 	mtg, err := onnx.MLP(onnx.DeepMLP(980, 512, 64))
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +108,30 @@ func TestScaleSmokePipeline(t *testing.T) {
 	if err := mpart.Validate(mtg, p); err != nil {
 		t.Fatal(err)
 	}
+	// Schedule, streaming depth and buffer sizing are O(V + E) (plus an
+	// E log E edge sort in sizing); at 10^6 nodes each takes well under a
+	// second, so a 5 s budget catches a return to per-block rescans.
 	var mres *schedule.Result
-	stage(t, "schedule 1M", 300*time.Second, func() {
+	stage(t, "schedule 1M", 5*time.Second, func() {
 		mres, err = schedule.Schedule(mtg, mpart, p)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := mres.Validate(mtg, p); err != nil {
+		t.Fatal(err)
+	}
 	if mres.Makespan <= 0 {
 		t.Error("non-positive makespan on the deep MLP")
+	}
+	var depth float64
+	stage(t, "depth 1M", 5*time.Second, func() { depth = schedule.StreamingDepth(mtg) })
+	if depth <= 0 || depth > mres.Makespan {
+		t.Errorf("streaming depth %g outside (0, makespan %g]", depth, mres.Makespan)
+	}
+	var sizes []buffers.EdgeSpace
+	stage(t, "buffers 1M", 5*time.Second, func() { sizes = buffers.Sizes(mtg, mres) })
+	if len(sizes) == 0 {
+		t.Error("no streaming edges sized on the deep MLP")
 	}
 }
