@@ -30,8 +30,8 @@ func TestParseBenchQualifiesAndStrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]result{
-		"repro/BenchmarkFig13Simulation/FFT/Leap": {Iters: 50, NsPerOp: 198374, BytesPerOp: 42},
-		"repro/BenchmarkSweep":                    {Iters: 50, NsPerOp: 91000},
+		"repro/BenchmarkFig13Simulation/FFT/Leap":               {Iters: 50, NsPerOp: 198374, BytesPerOp: 42},
+		"repro/BenchmarkSweep":                                  {Iters: 50, NsPerOp: 91000},
 		"repro/internal/desim/BenchmarkDesimEngines/chain/Leap": {Iters: 50, NsPerOp: 15314, BytesPerOp: 61},
 		"repro/internal/desim/BenchmarkSweep":                   {Iters: 50, NsPerOp: 12000, BytesPerOp: 8, AllocsPerOp: 1},
 	}

@@ -131,7 +131,6 @@ func (h readyHeap) Less(i, j int) bool {
 func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *readyHeap) Push(x any)         { *h = append(*h, x.(readyItem)) }
 func (h *readyHeap) Pop() any           { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (h readyHeap) Peek() readyItem     { return h[0] }
 func (h *readyHeap) PopItem() readyItem { return heap.Pop(h).(readyItem) }
 
 // Schedule computes the buffered-communication schedule of a canonical task

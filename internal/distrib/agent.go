@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,15 +8,13 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/distrib/faultpoint"
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/results"
-	"repro/internal/retry"
 )
 
 // Agent is a pull-based distributed-sweep worker: it fetches the run
@@ -84,13 +81,6 @@ func (a *Agent) log() io.Writer {
 	return os.Stderr
 }
 
-func (a *Agent) client() *http.Client {
-	if a.Client != nil {
-		return a.Client
-	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
 func (a *Agent) worker() string {
 	if a.Worker != "" {
 		return a.Worker
@@ -100,32 +90,6 @@ func (a *Agent) worker() string {
 		host = "agent"
 	}
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
-// newIdleTimer returns a stopped, drained timer ready for sleepCtx: the
-// polling and retry loops reset this one timer instead of allocating a
-// fresh time.After channel (and its runtime timer) on every iteration.
-func newIdleTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return t
-}
-
-// sleepCtx waits d on the reused timer t or returns the context's error as
-// soon as it is canceled, leaving t stopped and drained for the next wait.
-func sleepCtx(ctx context.Context, t *time.Timer, d time.Duration) error {
-	t.Reset(d)
-	select {
-	case <-ctx.Done():
-		if !t.Stop() {
-			<-t.C
-		}
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Run executes the agent loop until the run completes, the context is
@@ -138,7 +102,8 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 	worker := a.worker()
 	var rep AgentReport
 
-	info, err := a.fetchRunInfo(ctx)
+	api := a.api()
+	info, err := a.fetchRunInfo(ctx, api)
 	if err != nil {
 		return rep, err
 	}
@@ -156,14 +121,14 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 	fmt.Fprintf(a.log(), "distrib: agent %s joined run %s: %d jobs total, batches of %d\n",
 		worker, info.Run, info.Jobs, info.BatchSize)
 
-	idle := newIdleTimer()
+	var idle httpapi.Sleeper
 	defer idle.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
 		var lease LeaseResponse
-		err := a.postJSON(ctx, "/v1/lease", LeaseRequest{Worker: worker, PlanHash: info.PlanHash}, &lease)
+		err := a.postJSON(ctx, api, "/v1/lease", LeaseRequest{Worker: worker, PlanHash: info.PlanHash}, &lease)
 		if err != nil {
 			return a.sessionEnd(rep, start, err)
 		}
@@ -175,7 +140,7 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 			if wait <= 0 {
 				wait = time.Second
 			}
-			if err := sleepCtx(ctx, idle, wait); err != nil {
+			if err := idle.Sleep(ctx, wait); err != nil {
 				return rep, err
 			}
 			continue
@@ -200,7 +165,7 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 			batch.Failures = append(batch.Failures, results.Failure{Label: f.Job.String(), Err: f.Err.Error()})
 		}
 		var ack CompleteResponse
-		err = a.postJSON(ctx, "/v1/complete", CompleteRequest{
+		err = a.postJSON(ctx, api, "/v1/complete", CompleteRequest{
 			Worker: worker, Lease: lease.Lease, PlanHash: info.PlanHash, Artifact: batch,
 		}, &ack)
 		if err != nil {
@@ -234,7 +199,7 @@ func (a *Agent) sessionDone(rep AgentReport, start time.Time) (AgentReport, erro
 // session ends cleanly.
 func (a *Agent) sessionEnd(rep AgentReport, start time.Time, err error) (AgentReport, error) {
 	rep.Elapsed = time.Since(start)
-	var he *httpError
+	var he *httpapi.Error
 	if errors.As(err, &he) {
 		return rep, err
 	}
@@ -244,67 +209,42 @@ func (a *Agent) sessionEnd(rep AgentReport, start time.Time, err error) (AgentRe
 
 // fetchRunInfo retries the initial GET /v1/run until the coordinator is
 // reachable, so agents can be started before (or while) the coordinator
-// comes up. It issues single attempts (not the RetryWait-budgeted call
-// loop) so ConnectWait alone governs how long joining may take, backing
+// comes up. ConnectWait alone governs how long joining may take, backing
 // off with jitter between attempts. A 503 is retried like a transport
 // failure — that is the recovery gate saying the coordinator is up but
 // still replaying its journal; any other rejection is fatal.
-func (a *Agent) fetchRunInfo(ctx context.Context) (RunInfo, error) {
-	wait := a.ConnectWait
-	if wait <= 0 {
-		wait = 30 * time.Second
-	}
-	deadline := time.Now().Add(wait)
-	bo := retry.New(150*time.Millisecond, 2*time.Second, a.RetrySeed)
-	timer := newIdleTimer()
-	defer timer.Stop()
+func (a *Agent) fetchRunInfo(ctx context.Context, api httpapi.Client) (RunInfo, error) {
+	wait := a.connectWait()
 	var info RunInfo
-	for {
-		err := a.doOnce(ctx, http.MethodGet, "/v1/run", nil, &info)
-		if err == nil {
-			return info, nil
-		}
-		var he *httpError
-		if errors.As(err, &he) && !retryableErr(err) {
-			return RunInfo{}, fmt.Errorf("distrib: agent: joining run: %w", err)
-		}
-		if ctx.Err() != nil {
-			return RunInfo{}, ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			return RunInfo{}, fmt.Errorf("distrib: agent: coordinator at %s unreachable after %v: %w", a.URL, wait, err)
-		}
-		d := bo.Next()
-		if ra := retryAfterOf(err); ra > d {
-			d = ra
-		}
-		if err := sleepCtx(ctx, timer, d); err != nil {
-			return RunInfo{}, err
-		}
+	err := httpapi.Retry(ctx, httpapi.NewBackoff(150*time.Millisecond, 2*time.Second, a.RetrySeed), wait,
+		httpapi.RetryJoin, func() error { return attempt(ctx, api, http.MethodGet, "/v1/run", nil, &info) })
+	switch {
+	case err == nil:
+		return info, nil
+	case ctx.Err() != nil:
+		return RunInfo{}, ctx.Err()
+	case !httpapi.RetryJoin(err): // the coordinator answered, and said no
+		return RunInfo{}, fmt.Errorf("distrib: agent: joining run: %w", err)
 	}
+	return RunInfo{}, fmt.Errorf("distrib: agent: coordinator at %s unreachable after %v: %w", a.URL, wait, err)
 }
 
-func (a *Agent) getJSON(ctx context.Context, path string, out any) error {
-	return a.call(ctx, http.MethodGet, path, nil, out)
-}
-
-func (a *Agent) postJSON(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
+func (a *Agent) connectWait() time.Duration {
+	if a.ConnectWait > 0 {
+		return a.ConnectWait
 	}
-	return a.call(ctx, http.MethodPost, path, body, out)
+	return 30 * time.Second
 }
 
-// call issues one logical request, retrying transient failures —
+// postJSON issues one logical POST, retrying transient failures —
 // transport errors, per-request timeouts, and 429/502/503/504 answers —
 // with capped jittered exponential backoff for up to RetryWait. A
-// Retry-After the server sent (the recovery gate does, and so does
-// admission control) raises that attempt's wait. Retrying is safe
-// because the protocol is idempotent end to end: a duplicate lease
-// request just leases whatever is pending now, and a duplicate
-// completion dedups first-write-wins — across coordinator restarts too,
-// since completions are journaled before they are acknowledged.
+// Retry-After the server sent (the recovery gate does) raises that
+// attempt's wait. Retrying is safe because the protocol is idempotent end
+// to end: a duplicate lease request just leases whatever is pending now,
+// and a duplicate completion dedups first-write-wins — across coordinator
+// restarts too, since completions are journaled before they are
+// acknowledged.
 //
 // Refused dials get the shorter ConnectWait budget: no process is
 // listening at all, which is either the window between a crash and a
@@ -312,131 +252,50 @@ func (a *Agent) postJSON(ctx context.Context, path string, in, out any) error {
 // and only the first is worth ConnectWait's patience. Failures from a
 // live coordinator (timeouts, the recovery gate's 503s, a broken
 // journal) keep the full RetryWait.
-func (a *Agent) call(ctx context.Context, method, path string, body []byte, out any) error {
+func (a *Agent) postJSON(ctx context.Context, api httpapi.Client, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
 	budget := a.RetryWait
 	if budget == 0 {
 		budget = 2 * time.Minute
 	}
-	refused := a.ConnectWait
-	if refused <= 0 {
-		refused = 30 * time.Second
-	}
-	if refused > budget {
-		refused = budget
-	}
-	bo := retry.New(0, 0, a.RetrySeed)
-	timer := newIdleTimer()
-	defer timer.Stop()
+	refused := min(a.connectWait(), budget)
 	start := time.Now()
-	deadline := start.Add(budget)
-	refusedDeadline := start.Add(refused)
-	for {
-		err := a.doOnce(ctx, method, path, body, out)
-		if err == nil {
-			return nil
+	return httpapi.Retry(ctx, httpapi.NewBackoff(0, 0, a.RetrySeed), budget, func(err error) bool {
+		if errors.Is(err, syscall.ECONNREFUSED) && time.Since(start) > refused {
+			return false
 		}
-		if ctx.Err() != nil || !retryableErr(err) {
-			return err
-		}
-		now := time.Now()
-		if budget <= 0 || now.After(deadline) {
-			return err
-		}
-		if errors.Is(err, syscall.ECONNREFUSED) && now.After(refusedDeadline) {
-			return err
-		}
-		wait := bo.Next()
-		if ra := retryAfterOf(err); ra > wait {
-			wait = ra
-		}
-		if serr := sleepCtx(ctx, timer, wait); serr != nil {
-			return serr
-		}
-	}
+		return httpapi.RetryAgent(err)
+	}, func() error { return attempt(ctx, api, http.MethodPost, path, body, out) })
 }
 
-// doOnce issues a single attempt under the per-request timeout.
-func (a *Agent) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
+// attempt issues a single request, behind the agent's fault-injection
+// sites.
+func attempt(ctx context.Context, api httpapi.Client, method, path string, body []byte, out any) error {
 	if err := faultpoint.Hit("distrib.agent.request"); err != nil {
 		return err
 	}
-	if method == http.MethodPost && path == "/v1/complete" {
+	if path == "/v1/complete" {
 		if err := faultpoint.Hit("distrib.agent.upload"); err != nil {
 			return err
 		}
+	}
+	return api.Do(ctx, method, path, body, out)
+}
+
+// api is the request helper for this agent's coordinator.
+func (a *Agent) api() httpapi.Client {
+	hc := a.Client
+	if hc == nil {
+		hc = &http.Client{Timeout: 5 * time.Minute}
 	}
 	to := a.RequestTimeout
 	if to <= 0 {
 		to = 2 * time.Minute
 	}
-	rctx, cancel := context.WithTimeout(ctx, to)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(rctx, method, strings.TrimSuffix(a.URL, "/")+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if a.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+a.Token)
-	}
-	return a.do(req, out)
-}
-
-// retryableErr reports whether an attempt's failure is worth retrying:
-// any transport-level failure (including a per-request timeout), or a
-// response that says "not right now" — 429 from admission control,
-// 502/504 from an intermediary, 503 from the recovery gate or a
-// coordinator whose journal is catching its breath.
-func retryableErr(err error) bool {
-	var he *httpError
-	if errors.As(err, &he) {
-		switch he.code {
-		case http.StatusTooManyRequests, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-		return false
-	}
-	return true
-}
-
-// retryAfterOf extracts a server-suggested wait, if the error carries one.
-func retryAfterOf(err error) time.Duration {
-	var he *httpError
-	if errors.As(err, &he) {
-		return he.retryAfter
-	}
-	return 0
-}
-
-// do issues the request and decodes the JSON response. Non-2xx responses
-// surface as *httpError so callers can distinguish a protocol rejection
-// from a transport failure.
-func (a *Agent) do(req *http.Request, out any) error {
-	resp, err := a.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		he := &httpError{code: resp.StatusCode, msg: fmt.Sprintf("%s %s: %s: %s",
-			req.Method, req.URL.Path, resp.Status, strings.TrimSpace(string(msg)))}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			he.retryAfter = time.Duration(secs) * time.Second
-		}
-		return he
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return httpapi.Client{Base: a.URL, HTTP: hc, Token: a.Token, Timeout: to}
 }
 
 // FetchStatus retrieves a coordinator's /v1/status report; it backs
@@ -446,7 +305,7 @@ func (a *Agent) do(req *http.Request, out any) error {
 func FetchStatus(ctx context.Context, client *http.Client, url, token string) (Status, error) {
 	a := &Agent{URL: url, Client: client, Token: token}
 	var st Status
-	if err := a.doOnce(ctx, http.MethodGet, "/v1/status", nil, &st); err != nil {
+	if err := attempt(ctx, a.api(), http.MethodGet, "/v1/status", nil, &st); err != nil {
 		return Status{}, fmt.Errorf("distrib: fetching status from %s: %w", url, err)
 	}
 	return st, nil

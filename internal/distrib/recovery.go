@@ -8,12 +8,11 @@ package distrib
 // original absolute deadlines, resolved jobs stay resolved, and agent
 // re-uploads of batches completed before the crash dedup exactly as a
 // live duplicate would. ServeRecovering wraps the whole sequence behind
-// a Gate that answers 503 + Retry-After until replay finishes, so
+// an httpapi.Gate that answers 503 + Retry-After until replay finishes, so
 // agents see a clean "come back shortly" instead of half-answers.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,9 +22,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/results"
 )
 
@@ -385,38 +384,10 @@ func (c *Coordinator) applyCompleteLocked(rec *walRecord) (CompleteResponse, err
 	return resp, nil
 }
 
-// Gate fronts a handler that is not ready yet: every request is
-// answered 503 + Retry-After until Ready installs the real handler.
-// The coordinator sits behind one while replaying its journal, so a
-// retrying agent sees an honest "come back shortly", never a
-// half-recovered answer.
-type Gate struct {
-	h atomic.Value // http.Handler once Ready
-}
-
-// NewGate returns a gate with no handler installed.
-func NewGate() *Gate { return &Gate{} }
-
-// Ready installs the real handler; subsequent requests pass through.
-func (g *Gate) Ready(h http.Handler) { g.h.Store(h) }
-
-func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h, ok := g.h.Load().(http.Handler); ok && h != nil {
-		h.ServeHTTP(w, r)
-		return
-	}
-	w.Header().Set("Retry-After", "1")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(map[string]string{
-		"error": "coordinator is recovering; retry shortly",
-	})
-}
-
 // ServeRecovering binds addr immediately, serves 503 + Retry-After
 // while build constructs (and possibly replays) the coordinator, then
-// swaps in the real handler and serves until every job is resolved —
-// the restart-side counterpart of Coordinator.Serve. Binding before
+// swaps in the real handler and serves until every job is resolved,
+// shuts the server down gracefully and returns. Binding before
 // building means agents that outlived a crashed coordinator start
 // getting well-formed "retry shortly" answers the moment the new
 // process is up, not connection refusals racing the replay.
@@ -425,7 +396,7 @@ func ServeRecovering(addr string, logw io.Writer, build func() (*Coordinator, er
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator listen: %w", err)
 	}
-	gate := NewGate()
+	gate := httpapi.NewGate()
 	srv := &http.Server{Handler: gate}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()

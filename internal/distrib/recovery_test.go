@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/distrib/faultpoint"
+	"repro/internal/httpapi"
 )
 
 // walT0 is the fake-clock epoch testCoordinator pins, shared so resumed
@@ -453,7 +454,7 @@ func TestJournalSyncFaultLatchesBrokenUntilRestart(t *testing.T) {
 // The recovery gate answers every request 503 + Retry-After until the
 // real handler is installed.
 func TestGateAnswers503UntilReady(t *testing.T) {
-	g := NewGate()
+	g := httpapi.NewGate()
 	srv := httptest.NewServer(g)
 	defer srv.Close()
 

@@ -72,15 +72,6 @@ func (g *DAG) AddNode() NodeID {
 	return id
 }
 
-// AddNodes adds k nodes and returns the ID of the first one.
-func (g *DAG) AddNodes(k int) NodeID {
-	first := NodeID(g.n)
-	for i := 0; i < k; i++ {
-		g.AddNode()
-	}
-	return first
-}
-
 // AddEdge adds the edge u -> v with the given data volume. Adding an edge
 // that already exists overwrites its volume. Self loops are rejected.
 func (g *DAG) AddEdge(u, v NodeID, volume int64) error {

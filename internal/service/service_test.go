@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 func fftReq(seed int64) SubmitRequest {
@@ -127,9 +129,9 @@ func TestSubmitBadInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, err := s.Submit(c.req)
-		he, ok := err.(*httpError)
-		if !ok || he.code != http.StatusBadRequest {
-			t.Errorf("%s: got %v, want 400 httpError", c.name, err)
+		he, ok := err.(*httpapi.Error)
+		if !ok || he.Code != http.StatusBadRequest {
+			t.Errorf("%s: got %v, want 400 httpapi.Error", c.name, err)
 		}
 	}
 	if st := s.Status(); st.Queued != 0 || st.Accepted != 0 {
@@ -167,7 +169,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	}
 	if _, err := s.Submit(fftReq(1)); err == nil {
 		t.Error("draining service accepted a submission")
-	} else if he, ok := err.(*httpError); !ok || he.code != http.StatusServiceUnavailable {
+	} else if he, ok := err.(*httpapi.Error); !ok || he.Code != http.StatusServiceUnavailable {
 		t.Errorf("draining rejection: %v, want 503", err)
 	}
 }
@@ -281,6 +283,31 @@ func TestResultEndpoints(t *testing.T) {
 	}
 	if hz.Accepted != 1 || hz.Completed != 1 || hz.QueueCap != 8 {
 		t.Errorf("statusz: %+v", hz)
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientBaseTrailingSlash: a base URL with a trailing slash reaches
+// the same endpoints. Joined naively, "//v1/submit" draws the mux's 301,
+// the redirect turns the POST into a GET, and every submit fails 405.
+func TestClientBaseTrailingSlash(t *testing.T) {
+	s := New(Options{QueueCap: 8, Workers: 1, Tick: time.Millisecond})
+	s.Start()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, base := range []string{srv.URL, srv.URL + "/"} {
+		cl := &Client{Base: base}
+		resp, _, ok, err := cl.Submit(ctx, fftReq(1))
+		if err != nil || !ok {
+			t.Fatalf("base %q: submit ok=%v err=%v", base, ok, err)
+		}
+		if st, err := cl.Result(ctx, resp.ID, 10*time.Second); err != nil || st.State != StateDone {
+			t.Fatalf("base %q: result %+v, %v", base, st, err)
+		}
 	}
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
