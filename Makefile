@@ -36,11 +36,13 @@ bench-smoke:
 # fuzz-smoke briefly cross-checks the differential fast-vs-reference pairs:
 # the desim leap engine against the unit-stepping reference loop, the
 # incremental Algorithm 1 partitioner and the linear-time scheduler against
-# their executable specifications.
+# their executable specifications, and the hand-written core-JSON decoder
+# against encoding/json.
 fuzz-smoke:
 	$(GO) test ./internal/desim -run '^$$' -fuzz FuzzDesimLeapVsReference -fuzztime 20s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzAlgorithm1FastVsReference -fuzztime 20s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzScheduleFastVsReference -fuzztime 20s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeJSONFastVsReference -fuzztime 20s
 
 # scale-smoke drives the 10^5-task pipeline (partition, schedule, auto-engine
 # desim) and the ~10^6-task deep-MLP partition, schedule (validated),

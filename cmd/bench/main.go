@@ -193,7 +193,7 @@ func main() {
 	bench := flag.String("bench", ".", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "50x", "fixed iteration count (or duration) per benchmark")
 	count := flag.Int("count", 3, "go test -count repetitions; the snapshot records each benchmark's minimum, the most repeatable estimate under scheduling noise")
-	pkgs := flag.String("pkg", "./,./internal/desim,./internal/schedule", "comma-separated packages whose benchmarks to run")
+	pkgs := flag.String("pkg", "./,./internal/core,./internal/desim,./internal/schedule", "comma-separated packages whose benchmarks to run")
 	timeout := flag.String("timeout", "30m", "go test timeout")
 	diffBase := flag.String("diff", "", "baseline snapshot to gate against (\"latest\" resolves the highest BENCH_<N>.json); runs the benchmarks, compares, and exits 1 on any regression")
 	against := flag.String("against", "", "with -diff: gate this existing snapshot file instead of running the benchmarks")

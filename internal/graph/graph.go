@@ -19,7 +19,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node within a single DAG. IDs are dense: the first
@@ -138,16 +137,37 @@ func (g *DAG) Volume(u, v NodeID) int64 { return g.volume[[2]NodeID{u, v}] }
 // allocated on every call.
 func (g *DAG) Edges() []Edge {
 	out := make([]Edge, 0, len(g.volume))
-	for k, vol := range g.volume {
-		out = append(out, Edge{From: k[0], To: k[1], Volume: vol})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
+	g.EachEdge(func(u, v NodeID) {
+		out = append(out, Edge{From: u, To: v, Volume: g.volume[[2]NodeID{u, v}]})
 	})
 	return out
+}
+
+// EachEdge calls fn for every edge in (From, To) order. It runs in
+// O(V + E) without touching the volume map: a counting sort by source
+// that reads the predecessor lists in ascending target order, so every
+// source's successors land in ascending order.
+func (g *DAG) EachEdge(fn func(u, v NodeID)) {
+	end := make([]int, g.n) // next free slot of each source's range in to
+	total := 0
+	for u := 0; u < g.n; u++ {
+		end[u] = total
+		total += len(g.succs[u])
+	}
+	to := make([]NodeID, total)
+	for v := 0; v < g.n; v++ {
+		for _, u := range g.preds[v] {
+			to[end[u]] = NodeID(v)
+			end[u]++
+		}
+	}
+	lo := 0
+	for u := 0; u < g.n; u++ {
+		for _, v := range to[lo:end[u]] {
+			fn(NodeID(u), v)
+		}
+		lo = end[u]
+	}
 }
 
 // Sources returns the nodes with no predecessors, in ID order.
@@ -267,46 +287,4 @@ func (g *DAG) WCC() (comp []int, count int) {
 		count++
 	}
 	return comp, count
-}
-
-// Induced returns the subgraph induced by keep (nodes where keep[v] is true)
-// along with the mapping orig -> new ID (InvalidNode for dropped nodes) and
-// new -> orig.
-func (g *DAG) Induced(keep []bool) (sub *DAG, toSub []NodeID, toOrig []NodeID) {
-	if len(keep) != g.n {
-		panic("graph: Induced keep length mismatch")
-	}
-	sub = New()
-	toSub = make([]NodeID, g.n)
-	for v := 0; v < g.n; v++ {
-		if keep[v] {
-			toSub[v] = sub.AddNode()
-			toOrig = append(toOrig, NodeID(v))
-		} else {
-			toSub[v] = InvalidNode
-		}
-	}
-	for key, vol := range g.volume {
-		u, v := key[0], key[1]
-		if keep[u] && keep[v] {
-			sub.MustEdge(toSub[u], toSub[v], vol)
-		}
-	}
-	return sub, toSub, toOrig
-}
-
-// Clone returns a deep copy of the graph in an unfrozen state.
-func (g *DAG) Clone() *DAG {
-	c := NewWithCapacity(g.n)
-	c.n = g.n
-	c.succs = make([][]NodeID, g.n)
-	c.preds = make([][]NodeID, g.n)
-	for v := 0; v < g.n; v++ {
-		c.succs[v] = append([]NodeID(nil), g.succs[v]...)
-		c.preds[v] = append([]NodeID(nil), g.preds[v]...)
-	}
-	for k, vol := range g.volume {
-		c.volume[k] = vol
-	}
-	return c
 }

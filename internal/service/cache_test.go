@@ -252,3 +252,49 @@ func TestDrainCountersPerSubmission(t *testing.T) {
 		t.Errorf("tenant rows: %+v", st.Tenants)
 	}
 }
+
+// TestCachePutErrorsCounted: a report the cache cannot store is counted
+// in statusz's cache_put_errors, and the job still completes with its
+// report; a resubmission, finding no entry, evaluates again.
+func TestCachePutErrorsCounted(t *testing.T) {
+	cache := openTestCache(t, t.TempDir())
+	if err := os.Chmod(cache.Dir(), 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(cache.Dir(), 0o755) })
+	if probe, err := os.CreateTemp(cache.Dir(), "probe-"); err == nil {
+		// Permission bits do not bind this process (it runs as root), so
+		// block the blob namespace with a file: its directory cannot be
+		// created, and every write fails as on a read-only directory.
+		probe.Close()
+		os.Remove(probe.Name())
+		if err := os.WriteFile(filepath.Join(cache.Dir(), "blob-"+reportBlobNS), nil, 0o444); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Options{QueueCap: 32, Workers: 2, Tick: time.Millisecond, Cache: cache})
+	s.Start()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	for _, req := range []SubmitRequest{fftReq(3), fftReq(4), fftReq(3)} {
+		if data := submitAndFetch(t, s, srv.URL, req); len(data) == 0 {
+			t.Fatal("empty schedule")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hz, err := (&Client{Base: srv.URL}).Statusz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hz.CachePutErrors != 3 || hz.Evaluations != 3 || hz.CacheMisses != 3 {
+		t.Errorf("cache_put_errors %d, evaluations %d, misses %d; want 3 each", hz.CachePutErrors, hz.Evaluations, hz.CacheMisses)
+	}
+	if hz.Completed != 3 || hz.Failed != 0 {
+		t.Errorf("completed %d, failed %d; want 3, 0", hz.Completed, hz.Failed)
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -216,7 +216,11 @@ type Statusz struct {
 	Evaluations int64 `json:"evaluations"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	Draining    bool  `json:"draining,omitempty"`
+	// CachePutErrors counts evaluated reports the persistent cache
+	// failed to store (encoding or write errors); the job still
+	// completes, and a later identical submission re-evaluates.
+	CachePutErrors int64 `json:"cache_put_errors"`
+	Draining       bool  `json:"draining,omitempty"`
 	// Tenants is the per-tenant accounting, sorted by name: quotas,
 	// fair-queue shares, SLO misses, and latency percentiles.
 	Tenants []TenantStatus `json:"tenants"`
@@ -278,8 +282,10 @@ type Service struct {
 	evals     int64
 	cacheHit  int64
 	cacheMiss int64
-	draining  bool
-	started   bool
+	// cachePutErr counts failed persistent-cache writes (Statusz.CachePutErrors).
+	cachePutErr int64
+	draining    bool
+	started     bool
 
 	start    time.Time
 	stop     chan struct{}
@@ -516,6 +522,7 @@ func (s *Service) run(j *job) {
 		s.testHookRun()
 	}
 	rep, err, cached := s.lookupCached(j)
+	putFailed := false
 	if !cached {
 		s.mu.Lock()
 		s.evals++
@@ -523,10 +530,12 @@ func (s *Service) run(j *job) {
 		rep, err = BuildReport(j.tg, j.pes, j.variant, j.varName, j.simulate)
 		if err == nil && s.opt.Cache != nil {
 			// Best effort: a failed write only costs a future
-			// re-evaluation.
-			if data, mErr := json.Marshal(rep); mErr == nil {
-				s.opt.Cache.PutBlob(reportBlobNS, j.cacheKey, data) //nolint:errcheck
+			// re-evaluation, so it is counted, not returned.
+			data, putErr := json.Marshal(rep)
+			if putErr == nil {
+				putErr = s.opt.Cache.PutBlob(reportBlobNS, j.cacheKey, data)
 			}
+			putFailed = putErr != nil
 		}
 	}
 	now := s.opt.now()
@@ -536,6 +545,9 @@ func (s *Service) run(j *job) {
 			s.cacheHit++
 		} else {
 			s.cacheMiss++
+		}
+		if putFailed {
+			s.cachePutErr++
 		}
 	}
 	for _, x := range append([]*job{j}, j.followers...) {
@@ -620,6 +632,10 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 		tenant = DefaultTenant
 	}
 	tasks := tg.NumComputeNodes()
+	// The fingerprint encodes and hashes the whole graph, so it is taken
+	// before the lock that dispatch, status and other submits share.
+	fp := results.Fingerprint(tg)
+	key := fmt.Sprintf("%s/P%d/%s/sim%t", fp, pes, varName, req.Simulate)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -647,7 +663,6 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 		}
 	}
 	s.seq++
-	fp := results.Fingerprint(tg)
 	j := &job{
 		id:       fmt.Sprintf("j%d", s.seq),
 		seq:      s.seq,
@@ -657,7 +672,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 		variant:  variant,
 		varName:  varName,
 		simulate: req.Simulate,
-		key:      fmt.Sprintf("%s/P%d/%s/sim%t", fp, pes, varName, req.Simulate),
+		key:      key,
 		cacheKey: results.CellKey{
 			Graph: fp, PEs: pes, Variant: varName, Simulate: req.Simulate,
 		},
@@ -836,28 +851,29 @@ func (s *Service) Status() Statusz {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Statusz{
-		UptimeMs:    float64(now.Sub(s.start)) / float64(time.Millisecond),
-		QueueCap:    s.opt.QueueCap,
-		BatchCap:    s.opt.BatchCap,
-		Workers:     s.opt.Workers,
-		TickMs:      float64(s.opt.Tick) / float64(time.Millisecond),
-		DefaultPEs:  s.opt.DefaultPEs,
-		ShedPolicy:  s.opt.ShedPolicy,
-		Queued:      len(s.queue),
-		Running:     s.running,
-		Open:        s.open,
-		Accepted:    s.accepted,
-		Rejected:    s.rejected,
-		Completed:   s.completed,
-		Failed:      s.failed,
-		Shed:        s.shed,
-		Drained:     s.drained,
-		Batches:     s.batches,
-		Coalesced:   s.coalesced,
-		Evaluations: s.evals,
-		CacheHits:   s.cacheHit,
-		CacheMisses: s.cacheMiss,
-		Draining:    s.draining,
+		UptimeMs:       float64(now.Sub(s.start)) / float64(time.Millisecond),
+		QueueCap:       s.opt.QueueCap,
+		BatchCap:       s.opt.BatchCap,
+		Workers:        s.opt.Workers,
+		TickMs:         float64(s.opt.Tick) / float64(time.Millisecond),
+		DefaultPEs:     s.opt.DefaultPEs,
+		ShedPolicy:     s.opt.ShedPolicy,
+		Queued:         len(s.queue),
+		Running:        s.running,
+		Open:           s.open,
+		Accepted:       s.accepted,
+		Rejected:       s.rejected,
+		Completed:      s.completed,
+		Failed:         s.failed,
+		Shed:           s.shed,
+		Drained:        s.drained,
+		Batches:        s.batches,
+		Coalesced:      s.coalesced,
+		Evaluations:    s.evals,
+		CacheHits:      s.cacheHit,
+		CacheMisses:    s.cacheMiss,
+		CachePutErrors: s.cachePutErr,
+		Draining:       s.draining,
 	}
 	names := make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
